@@ -4,12 +4,12 @@
 // a combinatorial surface no hand-picked configuration list covers. A
 // seeded generator draws (division, batch_width, n_shards, transport,
 // workers, overlap, donate) tuples and asserts that a full solve()
-// reproduces
-// the dense phased single-worker reference bit for bit — density,
-// effective potential, convergence history, charge-patch error and
-// total energy. Deterministic: the suite seed is fixed (override with
-// LS3DF_EQUIV_SEED, scale with LS3DF_EQUIV_DRAWS), and every failure
-// message carries the seed + draw index for replay.
+// reproduces the dense phased single-worker reference bit for bit —
+// density, effective potential, convergence history, charge-patch error
+// and total energy. The reference itself is pinned to the committed
+// golden digests (golden_digests.h). Deterministic: the suite seed is
+// fixed (override with LS3DF_EQUIV_SEED, scale with LS3DF_EQUIV_DRAWS),
+// and every failure message carries the seed + draw index for replay.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,6 +24,7 @@
 #include "atoms/builders.h"
 #include "common/rng.h"
 #include "fragment/ls3df.h"
+#include "golden_digests.h"
 #include "obs/trace.h"
 #include "service/solver_service.h"
 #include "transport/thread_transport.h"
@@ -33,29 +34,29 @@ namespace {
 
 constexpr std::uint64_t kSuiteSeed = 20260726;
 
-Structure h2_chain(int ncells, double a = 6.0) {
-  Structure s(Lattice({a * ncells, a, a}));
-  for (int c = 0; c < ncells; ++c) {
-    s.add_atom(Species::kH, {a * c + 0.5 * a - 0.7, 0.5 * a, 0.5 * a});
-    s.add_atom(Species::kH, {a * c + 0.5 * a + 0.7, 0.5 * a, 0.5 * a});
-  }
-  return s;
+using golden::base_options;
+using golden::h2_chain;
+
+// The reference shape: the dense phased single-worker path (per-fragment
+// PEtot_F, fixed lanes). Its bits are frozen in golden_digests.h.
+Ls3dfOptions reference_shape(Ls3dfOptions lo) {
+  lo.overlap = false;
+  lo.batch_width = 0;
+  lo.n_shards = 0;
+  lo.n_workers = 1;
+  lo.donate = false;
+  return lo;
 }
 
-// Cheap-but-real solver settings shared by every draw; only the
-// execution knobs below may vary, so every configuration must reproduce
-// the same bits.
-Ls3dfOptions base_options(int ncells) {
-  Ls3dfOptions lo;
-  lo.division = {ncells, 1, 1};
-  lo.points_per_cell = 8;
-  lo.ecut = 1.0;
-  lo.buffer_points = 4;
-  lo.extra_bands = 3;
-  lo.eig.max_iterations = 6;
-  lo.max_iterations = 2;
-  lo.l1_tol = 0.0;  // fixed iteration count: compare full trajectories
-  return lo;
+// One reference solve per x-chain division, checked against its golden
+// digest before any draw is compared to it.
+Ls3dfResult chain_reference(int ncells) {
+  Ls3dfResult ref =
+      Ls3dfSolver(h2_chain(ncells), reference_shape(base_options(ncells)))
+          .solve();
+  EXPECT_EQ(golden::result_digest(ref), golden::chain_digest(ncells))
+      << "the " << ncells << "-cell reference moved off its golden digest";
+  return ref;
 }
 
 struct Draw {
@@ -110,16 +111,8 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
   std::map<int, Ls3dfResult> refs;
   const auto reference = [&](int ncells) -> const Ls3dfResult& {
     auto it = refs.find(ncells);
-    if (it == refs.end()) {
-      Structure s = h2_chain(ncells);
-      Ls3dfOptions lo = base_options(ncells);
-      lo.overlap = false;
-      lo.batch_width = 0;
-      lo.n_workers = 1;
-      lo.donate = false;  // reference is the fixed-lane path
-      Ls3dfSolver solver(s, lo);
-      it = refs.emplace(ncells, solver.solve()).first;
-    }
+    if (it == refs.end())
+      it = refs.emplace(ncells, chain_reference(ncells)).first;
     return it->second;
   };
 
@@ -360,16 +353,9 @@ TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
   };
 
   std::map<int, Ls3dfResult> refs;
-  for (const Draw& d : draws) {
-    if (refs.count(d.ncells)) continue;
-    Structure s = h2_chain(d.ncells);
-    Ls3dfOptions lo = base_options(d.ncells);
-    lo.overlap = false;
-    lo.batch_width = 0;
-    lo.n_workers = 1;
-    lo.donate = false;
-    refs.emplace(d.ncells, Ls3dfSolver(s, lo).solve());
-  }
+  for (const Draw& d : draws)
+    if (!refs.count(d.ncells))
+      refs.emplace(d.ncells, chain_reference(d.ncells));
 
   SolverServiceOptions so;
   so.total_lanes = 4;
@@ -395,6 +381,20 @@ TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
     const JobStatus st = service.status(ids[i]);
     ASSERT_EQ(st.state, JobState::kDone) << st.error;
     expect_bitwise_equal(service.result(ids[i]), refs.at(draws[i].ncells));
+  }
+}
+
+// The frozen reference: every golden corner's reference-shape solve
+// reproduces its committed digest. The draws above compare execution
+// shapes to an in-run reference; this pins that reference to bits that
+// no code path has to be kept alive to reproduce.
+TEST(CrossPathEquivalence, ReferenceSolvesMatchGoldenDigests) {
+  for (const golden::Corner& c : golden::corners()) {
+    SCOPED_TRACE(c.name);
+    const Ls3dfResult r =
+        Ls3dfSolver(c.structure, reference_shape(c.options)).solve();
+    EXPECT_EQ(golden::result_digest(r), c.digest)
+        << std::hex << "got 0x" << golden::result_digest(r);
   }
 }
 
