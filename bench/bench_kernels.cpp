@@ -12,14 +12,14 @@
 // division, plus the resulting speedup (>= 1.5x expected on >= 4 cores;
 // on a single-core host it reports ~1.0), and the batched-vs-looped
 // probes for the fused kernels (gemm_batched, fft_many, petot_f batched
-// at width 4 — the tentpole target is >= 1.5x over looped per-fragment
-// solves on >= 4 cores, >= 1.0x on one, always with bit-identical
-// densities), and the sharded-grid probes: the distributed-transpose FFT
-// round trip (with the transpose's share of the wall time) and sharded
-// vs dense GENPOT with the bit-identity flag CI asserts, and the
-// barrier-free iteration probes: phased vs overlapped solve() on a
-// skewed division, the measured overlap fraction, and the
-// overlap-vs-phased bit-identity flag (both asserted in CI), plus the
+// at width 4 vs width 1 — the target is >= 1.5x on >= 4 cores, >= 1.0x
+// on one, always with bit-identical densities), and the sharded-grid
+// probes: the distributed-transpose FFT round trip (with the transpose's
+// share of the wall time) and sharded vs dense GENPOT with the
+// bit-identity flag CI asserts, and the chain-driver probes: solve()
+// iterations on a skewed division, the measured overlap fraction, and
+// the flag that the solve reproduces its golden digest
+// (tests/golden_digests.h; both asserted in CI), plus the
 // adaptive-runtime probes: donated-lane vs fixed-lane iterations (events
 // > 0 and bit-identity asserted), the fp32-vs-fp64 batched Davidson
 // speedup, and the mixed-precision convergence flag on the Fig. 6 alloy,
@@ -56,6 +56,7 @@
 #include "fft/fft.h"
 #include "fft/fft3d.h"
 #include "fragment/ls3df.h"
+#include "../tests/golden_digests.h"
 #include "grid/sharded_field.h"
 #include "linalg/blas.h"
 #include "obs/metrics.h"
@@ -337,33 +338,18 @@ double time_best_ms(int reps, Fn&& fn) {
   return best;
 }
 
-// An 8-fragment LS3DF problem: H2 chain, division 1x1x4 (four cells
-// along z gives four size-2 and four size-1 fragments; a 2x2x2 division
-// is structurally degenerate in LS3DF and rejected by the solver).
-// batch_width 0 is the looped per-fragment dispatch; > 0 groups
-// same-size-class fragments into lockstep batches.
+// The 8-fragment LS3DF problem of the golden zchain4 corner: H2 chain,
+// division 1x1x4 (four size-2 and four size-1 fragments). batch_width 1
+// solves one fragment per batch; wider batches group same-size-class
+// fragments into lockstep solves.
 Ls3dfOptions petot_options(int workers, int batch_width) {
-  Ls3dfOptions lo;
-  lo.division = {1, 1, 4};
-  lo.points_per_cell = 8;
-  lo.ecut = 1.0;
-  lo.buffer_points = 4;
-  lo.extra_bands = 3;
-  lo.eig.max_iterations = 8;
+  Ls3dfOptions lo = golden::z_chain_options();
   lo.n_workers = workers;
   lo.batch_width = batch_width;
   return lo;
 }
 
-Structure petot_structure() {
-  const double a = 6.0;
-  Structure s(Lattice({a, a, 4 * a}));
-  for (int c = 0; c < 4; ++c) {
-    s.add_atom(Species::kH, {0.5 * a, 0.5 * a, a * c + 0.5 * a - 0.7});
-    s.add_atom(Species::kH, {0.5 * a, 0.5 * a, a * c + 0.5 * a + 0.7});
-  }
-  return s;
-}
+Structure petot_structure() { return golden::z_chain(); }
 
 // A warmed PEtot_F probe at the given worker count and batch width.
 // Warming runs the allocation iteration; the engine is deterministic, so
@@ -579,10 +565,11 @@ std::vector<JsonEntry> kernel_summary() {
   }
 
   {
-    // Barrier-free vs phased full iterations on the skewed 1x1x4
-    // division (two size classes with ~2x cost skew — the LPT tail the
-    // chains overlap). Both drivers run the same deterministic work, so
-    // the patched densities must agree bit for bit (CI asserts the
+    // Chain-driver iterations on the skewed 1x1x4 division (two size
+    // classes with ~2x cost skew — the LPT tail the chains overlap),
+    // checked against the frozen bits: the single-worker solve is the
+    // golden zchain4 corner and must reproduce its digest, and the
+    // multi-worker solve must match it bit for bit (CI asserts the
     // flag). The overlap fraction is reported twice: at the multi-worker
     // lane count (real concurrency on multi-core hosts) and on a single
     // lane, where the depth-first chain schedule interleaves phase
@@ -590,77 +577,66 @@ std::vector<JsonEntry> kernel_summary() {
     // in CI.
     Structure s = petot_structure();
     Ls3dfOptions lo = petot_options(std::min(4, default_workers()), 4);
-    lo.max_iterations = 2;
-    lo.l1_tol = 0.0;
     lo.compute_energy = false;
-
-    lo.overlap = false;
-    Ls3dfSolver phased(s, lo);
-    Timer tp;
-    const Ls3dfResult rp = phased.solve();
-    const double phased_ms = tp.seconds() * 1e3 / rp.iterations;
-
-    lo.overlap = true;
-    Ls3dfSolver overlapped(s, lo);
+    Ls3dfSolver multi(s, lo);
     Timer to;
-    const Ls3dfResult ro = overlapped.solve();
+    const Ls3dfResult ro = multi.solve();
     const double overlap_ms = to.seconds() * 1e3 / ro.iterations;
 
     lo.n_workers = 1;
-    Ls3dfSolver overlapped_w1(s, lo);
-    const Ls3dfResult r1 = overlapped_w1.solve();
+    lo.compute_energy = true;  // the golden corner's full result
+    Ls3dfSolver single(s, lo);
+    const Ls3dfResult r1 = single.solve();
 
-    bool identical = rp.rho.size() == ro.rho.size() &&
-                     rp.conv_history.size() == ro.conv_history.size() &&
-                     r1.rho.size() == rp.rho.size();
-    for (std::size_t i = 0; identical && i < rp.conv_history.size(); ++i)
-      identical = rp.conv_history[i] == ro.conv_history[i] &&
-                  rp.conv_history[i] == r1.conv_history[i];
-    for (std::size_t i = 0; identical && i < rp.rho.size(); ++i)
-      identical = rp.rho[i] == ro.rho[i] && rp.rho[i] == r1.rho[i];
+    bool identical = golden::result_digest(r1) == golden::kZChain4 &&
+                     ro.rho.size() == r1.rho.size() &&
+                     ro.conv_history.size() == r1.conv_history.size();
+    for (std::size_t i = 0; identical && i < r1.conv_history.size(); ++i)
+      identical = ro.conv_history[i] == r1.conv_history[i];
+    for (std::size_t i = 0; identical && i < r1.rho.size(); ++i)
+      identical = ro.rho[i] == r1.rho[i];
 
-    out.push_back({"ls3df_iter_phased_1x1x4", phased_ms, 0});
     out.push_back({"ls3df_iter_overlap_1x1x4", overlap_ms, 0});
     out.push_back({"ls3df_overlap_fraction_1x1x4", ro.overlap_fraction, 0});
     out.push_back(
         {"ls3df_overlap_fraction_w1_1x1x4", r1.overlap_fraction, 0});
     out.push_back(
-        {"overlap_bit_identical_to_phased", identical ? 1.0 : 0.0, 0});
+        {"zchain_solve_matches_golden_digest", identical ? 1.0 : 0.0, 0});
   }
 
-  // PEtot_F probes. Looped per-fragment dispatch at 1 and 4 workers (the
-  // cross-PR trajectory entries), then the batched path at width 4: the
-  // tentpole target is >= 1.5x over the looped 1-worker sweep on >= 4
-  // cores (>= 1.0x on one core), with a bit-identical patched density.
-  // The three configurations time the same deterministic work and are
+  // PEtot_F probes. One fragment per batch at 1 and 4 workers (the
+  // cross-PR trajectory entries), then lockstep batches of width 4: the
+  // target is >= 1.5x over the width-1 1-worker sweep on >= 4 cores
+  // (>= 1.0x on one core), with a bit-identical patched density. The
+  // three configurations time the same deterministic work and are
   // swept in an interleaved round-robin so slow-machine drift hits all
   // of them equally instead of biasing whichever ran last.
   const int wmax = std::min(4, default_workers());
-  PetotProbe looped_w1(1, 0), looped_w4(4, 0), batched_b4(wmax, 4);
+  PetotProbe single_w1(1, 1), single_w4(4, 1), batched_b4(wmax, 4);
   for (int rep = 0; rep < 5; ++rep) {
-    looped_w1.timed_sweep();
-    looped_w4.timed_sweep();
+    single_w1.timed_sweep();
+    single_w4.timed_sweep();
     batched_b4.timed_sweep();
   }
-  const double w1 = looped_w1.best_ms;
-  const double w4 = looped_w4.best_ms;
+  const double w1 = single_w1.best_ms;
+  const double w4 = single_w4.best_ms;
   const double b4 = batched_b4.best_ms;
   out.push_back({"petot_f_1x1x4_w1", w1, 0});
   out.push_back({"petot_f_1x1x4_w4", w4, 0});
   out.push_back({"petot_f_1x1x4_speedup_w4_over_w1", w4 > 0 ? w1 / w4 : 0,
                  0});
   out.push_back({"petot_f_1x1x4_batched_b4", b4, 0});
-  out.push_back({"petot_f_batched_b4_speedup_over_looped_w1",
+  out.push_back({"petot_f_batched_b4_speedup_over_b1_w1",
                  b4 > 0 ? w1 / b4 : 0, 0});
-  // Both paths advanced through the same number of deterministic sweeps
+  // Both widths advanced through the same number of deterministic sweeps
   // (warm + 5): their patched densities must agree bit for bit.
-  const FieldR rho_looped = looped_w1.solver.gen_dens();
-  const FieldR rho_batched = batched_b4.solver.gen_dens();
-  bool identical = rho_looped.size() == rho_batched.size();
-  for (std::size_t i = 0; identical && i < rho_looped.size(); ++i)
-    identical = rho_looped[i] == rho_batched[i];
+  const FieldR rho_b1 = single_w1.solver.gen_dens();
+  const FieldR rho_b4 = batched_b4.solver.gen_dens();
+  bool identical = rho_b1.size() == rho_b4.size();
+  for (std::size_t i = 0; identical && i < rho_b1.size(); ++i)
+    identical = rho_b1[i] == rho_b4[i];
   out.push_back(
-      {"petot_f_batched_bit_identical_to_looped", identical ? 1.0 : 0.0, 0});
+      {"petot_f_batched_b4_bit_identical_to_b1", identical ? 1.0 : 0.0, 0});
 
   {
     // Live lane donation vs the fixed inner split on the skewed 1x1x4
@@ -878,13 +854,13 @@ std::vector<JsonEntry> kernel_summary() {
 
   {
     // Tracing overhead + coverage on the skewed 1x1x4 division, with the
-    // barrier-free overlapped driver (the densest span stream: node
+    // chain driver at width 4 (the densest span stream: node
     // spans from the TaskGraph observer, pool lane spans, Davidson
     // sweeps). Tracing is an A/B toggle over bit-identical arithmetic,
     // so CI asserts overhead < 2% (interleaved best-of-4 over identical
     // deterministic work), the bit-identity flag, and that the union of
     // non-iteration spans covers >= 95% of the iteration wall. The
-    // sharded overlapped solve also exports the CI artifacts:
+    // sharded solve also exports the CI artifacts:
     // BENCH_trace.json (per-rank-attributed Chrome trace, validated by
     // tools/trace_merge) and BENCH_metrics.json (the solve's metrics
     // snapshot, schema ls3df-metrics-v1).
@@ -893,7 +869,6 @@ std::vector<JsonEntry> kernel_summary() {
     lo.max_iterations = 2;
     lo.l1_tol = 0.0;
     lo.compute_energy = false;
-    lo.overlap = true;
 
     Ls3dfSolver plain(s, lo);
     TraceRecorder rec(std::size_t{1} << 18);
@@ -924,7 +899,7 @@ std::vector<JsonEntry> kernel_summary() {
     for (std::size_t i = 0; identical && i < r_plain.rho.size(); ++i)
       identical = r_plain.rho[i] == r_traced.rho[i];
 
-    // The sharded overlapped traced solve: artifacts + span coverage.
+    // The sharded traced solve: artifacts + span coverage.
     TraceRecorder rec_sh(std::size_t{1} << 18);
     Ls3dfOptions ls = lo;
     ls.n_shards = 2;

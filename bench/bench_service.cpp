@@ -78,7 +78,7 @@ double percentile(std::vector<double> v, double q) {
   return v[r - 1];
 }
 
-// The skewed mix: many small dense jobs, a few heavy sharded/overlapped
+// The skewed mix: many small dense jobs, a few heavy sharded
 // ones (the LPT tail), two proc-transport jobs that will be fault-
 // injected, and a repeated configuration so warm instances get hits.
 struct BenchJob {
@@ -96,11 +96,10 @@ std::vector<BenchJob> job_mix() {
     lo.batch_width = 2;
     jobs.push_back({h2_chain(3), lo, 0, false});
   }
-  for (int i = 0; i < 2; ++i) {  // heavy overlapped tail
+  for (int i = 0; i < 2; ++i) {  // heavy sharded tail
     Ls3dfOptions lo = base_options(4);
     lo.n_workers = 2;
     lo.n_shards = 2;
-    lo.overlap = true;
     lo.donate = true;
     lo.max_iterations = 3;
     jobs.push_back({h2_chain(4), lo, 0, false});

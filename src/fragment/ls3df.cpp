@@ -72,7 +72,7 @@ struct Ls3dfSolver::ShardState {
     // Gen_dens windows: per destination, total doubles this rank sends
     // (raw interior-window plane values of its owned fragments), and per
     // owned fragment the starting offset of its segment in each lane —
-    // fixed by geometry, so overlap-mode pack nodes write disjoint
+    // fixed by geometry, so the driver's pack nodes write disjoint
     // ranges concurrently.
     std::vector<std::size_t> win_send_doubles;        // [dst]
     std::vector<std::vector<std::size_t>> win_off;    // [f - own_begin][dst]
@@ -170,6 +170,10 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
     if (m[i] == 2)
       throw std::invalid_argument(
           "Ls3dfOptions::division must have m_i == 1 or m_i >= 3 per axis");
+  if (opt.batch_width < 0)
+    throw std::invalid_argument("Ls3dfOptions::batch_width must be >= 0");
+  if (opt.n_shards < 0)
+    throw std::invalid_argument("Ls3dfOptions::n_shards must be >= 0");
   const int p = opt.points_per_cell;
   assert(p >= 4);
   global_grid_ = {m.x * p, m.y * p, m.z * p};
@@ -423,12 +427,13 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
     s.spmd = std::move(sp);
   }
 
-  // Size classes for the batched PEtot_F path: fragments whose solves
-  // share (grid shape, basis size, band count) can run in lockstep.
-  // Batch composition depends only on the decomposition (and, under
-  // SPMD, on this rank's owned range — batches never cross ranks), so
-  // batches and their workspaces are stable across outer iterations.
-  if (opt_.batch_width > 0 && own_end_ > own_begin_) {
+  // Size classes for PEtot_F batching: fragments whose solves share
+  // (grid shape, basis size, band count) can run in lockstep. Batch
+  // composition depends only on the decomposition (and, under SPMD, on
+  // this rank's owned range — batches never cross ranks), so batches and
+  // their workspaces are stable across outer iterations. batch_width 0
+  // means width 1: every fragment its own batch.
+  if (own_end_ > own_begin_) {
     std::vector<int> class_of(static_cast<std::size_t>(own_end_ - own_begin_));
     std::map<std::array<int, 5>, int> ids;
     for (int f = own_begin_; f < own_end_; ++f) {
@@ -439,7 +444,7 @@ Ls3dfSolver::Ls3dfSolver(const Structure& s, const Ls3dfOptions& opt)
       class_of[f - own_begin_] = it->second;
       (void)inserted;
     }
-    batches_ = make_batches(class_of, opt_.batch_width);
+    batches_ = make_batches(class_of, std::max(1, opt_.batch_width));
     if (own_begin_ > 0)
       for (FragmentBatch& b : batches_)
         for (int& f : b.members) f += own_begin_;
@@ -477,9 +482,7 @@ void Ls3dfSolver::finish_fragment(int f, int n_workers) {
 
 void Ls3dfSolver::solve_fragment(int f, EigenWorkspace& ws) {
   FragmentContext& ctx = *contexts_[f];
-  EigensolverResult r =
-      opt_.all_band ? solve_all_band(*ctx.h, ctx.psi, opt_.eig, ws)
-                    : solve_band_by_band(*ctx.h, ctx.psi, opt_.eig, ws);
+  EigensolverResult r = solve_band_by_band(*ctx.h, ctx.psi, opt_.eig, ws);
   ctx.eigenvalues = std::move(r.eigenvalues);
   finish_fragment(f);
 }
@@ -498,9 +501,8 @@ bool Ls3dfSolver::mixed_precision_available() const {
   // under SPMD a rank may own zero fragments (empty batches_) while
   // others don't, and a per-rank answer here would desynchronize the
   // precision policy — and with it the convergence latch — across ranks.
-  // Outside SPMD the condition is equivalent to the old batches_.empty().
   return opt_.precision == Precision::kMixed && opt_.all_band &&
-         opt_.batch_width > 0 && !contexts_.empty();
+         !contexts_.empty();
 }
 
 void Ls3dfSolver::update_precision_policy(
@@ -565,78 +567,9 @@ void Ls3dfSolver::reset_state() {
 
 void Ls3dfSolver::petot_f() {
   ObsContextScope obs_scope(obs_ctx());
-  const int n_own = own_end_ - own_begin_;
-  if (n_own == 0) return;
-  if (opt_.batch_width > 0 && !batches_.empty()) {
-    petot_f_batched(
-        std::max(1, std::min(live_workers_,
-                             static_cast<int>(batches_.size()))));
-  } else {
-    petot_f_per_fragment(std::max(1, std::min(live_workers_, n_own)));
-  }
-}
-
-void Ls3dfSolver::petot_f_per_fragment(int n_groups) {
-  const int n_frag = static_cast<int>(contexts_.size());
-  const int n_own = own_end_ - own_begin_;
-  // The paper's dispatch, in miniature: LPT-schedule fragments onto
-  // Ng = min(n_workers, n_frag) groups using the same cost model the
-  // performance simulator uses, then run one engine task per group.
-  // Each group executes its fragments in ascending order with its own
-  // persistent arena; a fragment's solve depends only on the fragment
-  // state, so the grouping (and hence the worker count) cannot change
-  // the numbers.
-  std::vector<double> costs = fragment_costs();
-  if (spmd_)
-    costs.assign(costs.begin() + own_begin_, costs.begin() + own_end_);
-  assignment_ = assign_fragments(costs, n_groups);
-  executed_group_of_.assign(n_frag, -1);
-  if (static_cast<int>(workspaces_.size()) < n_groups)
-    workspaces_.resize(n_groups);
-
-  // Presize every arena to the largest owned fragment: once measured
-  // costs feed the scheduler, any owned fragment may land on any group
-  // in a later iteration, and the steady state must still allocate
-  // nothing.
-  int ng_max = 0, nb_max = 0;
-  for (int f = own_begin_; f < own_end_; ++f) {
-    ng_max = std::max(ng_max, contexts_[f]->n_basis);
-    nb_max = std::max(nb_max, contexts_[f]->n_bands);
-  }
-  for (EigenWorkspace& ws : workspaces_)
-    ws.reserve(ng_max, nb_max, opt_.all_band);
-
-  std::vector<std::vector<int>> members(n_groups);
-  for (int i = 0; i < n_own; ++i)
-    members[assignment_.group_of[i]].push_back(own_begin_ + i);
-
-  std::vector<double> busy(n_groups, 0.0);
-  const auto run_group = [&](int g) {
-    Timer timer;
-    for (int f : members[g]) {
-      executed_group_of_[f] = g;
-      Timer ft;
-      solve_fragment(f, workspaces_[g]);
-      record_measured(f, ft.seconds());
-    }
-    busy[g] = timer.seconds();
-  };
-
-  if (n_groups == 1) {
-    run_group(0);
-  } else {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(n_groups);
-    for (int g = 0; g < n_groups; ++g)
-      tasks.emplace_back([&run_group, g]() { run_group(g); });
-    shared_pool().run_batch(std::move(tasks));
-  }
-
-  // Aggregate per-group busy time: parallel efficiency of this phase is
-  // busy / (n_groups * wall), the quantity behind the paper's 95.8%.
-  double total_busy = 0;
-  for (double b : busy) total_busy += b;
-  profile_.add("PEtot_F.workers", total_busy);
+  if (batches_.empty()) return;  // no owned fragments on this rank
+  petot_f_batched(std::max(
+      1, std::min(live_workers_, static_cast<int>(batches_.size()))));
 }
 
 void Ls3dfSolver::prepare_batch_workspaces() {
@@ -868,34 +801,6 @@ FieldR Ls3dfSolver::genpot(const FieldR& rho) const {
   return effective_potential(vion_, rho, structure_.lattice());
 }
 
-void Ls3dfSolver::gen_vf_sharded(const ShardedFieldR& v) {
-  if (spmd_) {
-    // The field holds one resident slab; pull the off-rank planes owned
-    // fragments straddle into the halo buffer first, then restrict each
-    // owned fragment from (own slab + halo). Plane copies only — the
-    // restricted values are bit-identical to dense extract_into.
-    spmd_fill_halo(v);
-    parallel_for(own_end_ - own_begin_, live_workers_,
-                 [&](int i, int /*worker*/) {
-                   FragmentContext& ctx = *contexts_[own_begin_ + i];
-                   spmd_extract(v, ctx.global_offset, ctx.vf);
-                   ctx.vf += ctx.wall;
-                   ctx.h->set_local_potential(ctx.vf);
-                 });
-    return;
-  }
-  // Fragment boxes straddle shard boundaries, so the restriction gathers
-  // rows from every slab it overlaps (the halo seam); reads only, so the
-  // fragment fan-out runs concurrently against the shared slabs.
-  parallel_for(static_cast<int>(contexts_.size()), live_workers_,
-               [&](int f, int /*worker*/) {
-                 FragmentContext& ctx = *contexts_[f];
-                 v.extract_into(ctx.global_offset, ctx.vf);
-                 ctx.vf += ctx.wall;
-                 ctx.h->set_local_potential(ctx.vf);
-               });
-}
-
 int Ls3dfSolver::fragment_owner(int f) const {
   if (!spmd_) return 0;
   // frag_rank_begin_ is nondecreasing; the owner is the last rank whose
@@ -981,10 +886,10 @@ void Ls3dfSolver::spmd_size_window_lanes() const {
   ShardState::Spmd& sp = *s.spmd;
   const int n = s.comm.n_ranks();
   const int self = s.comm.local_rank();
-  // Size every lane once, then cache raw pointers: the overlapped driver
-  // packs fragments from concurrent pool tasks, and send_box itself is
-  // not concurrency-safe. Pack targets are disjoint geometry-fixed
-  // offsets (win_off), so concurrent packs never touch the same bytes.
+  // Size every lane once, then cache raw pointers: the driver's pack
+  // nodes run on concurrent pool tasks, and send_box itself is not
+  // concurrency-safe. Pack targets are disjoint geometry-fixed offsets
+  // (win_off), so concurrent packs never touch the same bytes.
   for (int dst = 0; dst < n; ++dst)
     sp.win_lane[dst] = reinterpret_cast<double*>(
         s.comm.send_box(self, dst, (sp.win_send_doubles[dst] + 1) / 2));
@@ -1067,15 +972,6 @@ const char* Ls3dfSolver::shard_transport() const {
 
 Transport* Ls3dfSolver::shard_transport_object() const {
   return shards_ ? &shards_->comm.transport() : nullptr;
-}
-
-bool Ls3dfSolver::overlap_active() const {
-  // Rank-uniform by construction: under SPMD every rank must take the
-  // same driver (collectives pair up positionally), and batches_.empty()
-  // differs per rank (a rank may own zero fragments) — so the decision
-  // keys on options and the global fragment count only. Outside SPMD
-  // this is equivalent to the old batches_.empty() test.
-  return opt_.overlap && opt_.batch_width > 0 && !contexts_.empty();
 }
 
 bool Ls3dfSolver::fragment_touches_planes(int f, int x_begin,
@@ -1188,7 +1084,6 @@ double Ls3dfSolver::patched_nonlocal_energy() const {
 
 long Ls3dfSolver::workspace_allocations() const {
   long total = 0;
-  for (const auto& ws : workspaces_) total += ws.allocations();
   for (const auto& bw : batch_workspaces_) total += bw->allocations();
   return total;
 }
@@ -1519,16 +1414,14 @@ Ls3dfResult Ls3dfSolver::resume(const std::string& snapshot_path) {
     return result;
   }
 
-  if (overlap_active()) return solve_overlap();
-  return shards_ ? solve_sharded() : solve_dense();
+  return solve_graph();
 }
 
 Ls3dfResult Ls3dfSolver::solve() {
   ObsContextScope obs_scope(obs_ctx());
   fp64_promoted_ = false;  // re-arm the kMixed promotion latch
   resume_.reset();         // a plain solve never consumes stale resume state
-  if (overlap_active()) return solve_overlap();
-  return shards_ ? solve_sharded() : solve_dense();
+  return solve_graph();
 }
 
 // The observability context this solver installs around every entry
@@ -1545,7 +1438,7 @@ ObsContext Ls3dfSolver::obs_ctx() const {
   return ctx;
 }
 
-// Per-outer-iteration bookkeeping shared by all three drivers: metric
+// Per-outer-iteration bookkeeping at the driver's sequence point: metric
 // series, iteration counters, and the user progress callback. The band
 // energy is the RANK-LOCAL signed partial sum over owned fragments
 // (sum_f sign_F * sum_b occ_b * eps_b) — deliberately communication-
@@ -1606,7 +1499,7 @@ void Ls3dfSolver::record_iteration(const Ls3dfResult& result, double l1,
   }
 }
 
-// End-of-solve gauges + the result's metrics snapshot. Called by every
+// End-of-solve gauges + the result's metrics snapshot. Called by the
 // driver (and the resume short-circuit) just before the result returns.
 void Ls3dfSolver::finalize_observability(Ls3dfResult& result) {
   metrics_.set("solver.donated_lane_events",
@@ -1625,219 +1518,20 @@ void Ls3dfSolver::finalize_observability(Ls3dfResult& result) {
   result.metrics = metrics_.snapshot();
 }
 
-Ls3dfResult Ls3dfSolver::solve_dense() {
-  const Lattice& lat = structure_.lattice();
-  const double point_vol =
-      lat.volume() / static_cast<double>(vion_.size());
-  const double n_electrons = structure_.num_electrons();
-
-  Ls3dfResult result;
-  FieldR v_in;
-  PotentialMixer mixer(opt_.mixer, opt_.mix_alpha, lat, global_grid_);
-  int iter0 = 0;
-  if (resume_) {
-    // Continue where the snapshot left off: the restored V_in is the
-    // next iteration's input and the DIIS stack already contains the
-    // checkpointed iteration's update.
-    iter0 = resume_->iterations;
-    result.iterations = iter0;
-    result.conv_history = std::move(resume_->conv_history);
-    result.charge_patch_error = resume_->charge_patch_error;
-    result.rho = std::move(resume_->rho);
-    v_in = std::move(resume_->v_in);
-    mixer.restore_history(std::move(resume_->mix_v),
-                          std::move(resume_->mix_r));
-    resume_.reset();
-  } else {
-    FieldR rho0 = build_initial_density(structure_, global_grid_);
-    v_in = genpot(rho0);
-  }
-
-  for (int iter = iter0; iter < opt_.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    update_precision_policy(result.conv_history);
-    refresh_live_lanes();
-    Timer iter_timer;
-    const std::map<std::string, double> prof0 = profile_.totals();
-    double l1 = 0;
-    {
-      TraceSpan iter_span("iter", TraceCat::kSolver,
-                          static_cast<std::uint64_t>(iter + 1));
-      {
-        ScopedPhase sp(profile_, "Gen_VF");
-        TraceSpan ts("Gen_VF", TraceCat::kPhase);
-        gen_vf(v_in);
-      }
-      {
-        ScopedPhase sp(profile_, "PEtot_F");
-        TraceSpan ts("PEtot_F", TraceCat::kPhase);
-        petot_f();
-      }
-      FieldR rho;
-      {
-        ScopedPhase sp(profile_, "Gen_dens");
-        TraceSpan ts("Gen_dens", TraceCat::kPhase);
-        rho = gen_dens();
-        // Normalize the patched charge to the exact electron count (the
-        // patching cancellation leaves a small residual). Plane-blocked
-        // sum: the deterministic reduction shared with the sharded path.
-        const double total = plane_sum(rho) * point_vol;
-        result.charge_patch_error = std::abs(total - n_electrons);
-        if (total > 0) rho *= n_electrons / total;
-      }
-      FieldR v_out;
-      {
-        ScopedPhase sp(profile_, "GENPOT");
-        TraceSpan ts("GENPOT", TraceCat::kPhase);
-        v_out = genpot(rho);
-      }
-      l1 = plane_l1(v_out, v_in) * point_vol;
-      result.conv_history.push_back(l1);
-      result.rho = std::move(rho);
-      // Never latch convergence from an fp32 iteration: the residual must
-      // be confirmed by the fp64 solver (the policy switches to fp64 next
-      // iteration once l1 is this small).
-      if (l1 < opt_.l1_tol && !use_fp32_iter_) {
-        result.converged = true;
-        result.v_eff = v_in;
-      } else {
-        TraceSpan ts("Mix", TraceCat::kPhase);
-        v_in = mixer.mix(v_in, v_out);
-      }
-      // The end-of-iteration sequence point: V_in now carries the next
-      // iteration's input (or the converged potential) and the mixer
-      // holds this iteration's DIIS update.
-      maybe_write_checkpoint(result, &v_in, &mixer, nullptr);
-    }
-    record_iteration(result, l1, iter_timer.seconds(), use_fp32_iter_,
-                     prof0);
-    if (result.converged) break;
-  }
-  if (!result.converged) result.v_eff = v_in;
-
-  if (opt_.compute_energy) compute_patched_energy(result);
-  finalize_observability(result);
-  result.profile = profile_;
-  return result;
-}
-
-// The sharded driver: the same loop with every global field living as
-// x-slabs — no step of the pipeline materializes the full grid; the
-// dense result fields are gathered once, after the loop. Bit-identical
-// to solve_dense() for any shard and worker count: the FFT matches by
-// construction (fft/dist_fft3d.h), pointwise layers trivially, and all
-// scalar reductions are plane-blocked in both drivers.
-Ls3dfResult Ls3dfSolver::solve_sharded() {
-  ShardState& s = *shards_;
-  const Lattice& lat = structure_.lattice();
-  const double point_vol =
-      lat.volume() / static_cast<double>(vion_.size());
-  const double n_electrons = structure_.num_electrons();
-
-  Ls3dfResult result;
-  ShardedFieldR& v_in = s.v_in;
-  ShardedFieldR& v_out = s.v_out;
-  ShardedPotentialMixer mixer(opt_.mixer, opt_.mix_alpha, lat, s.fft);
-  int iter0 = 0;
-  if (resume_) {
-    // V_in and rho restored straight into the shard slabs by
-    // load_resume; only the DIIS stack and scalars travel here.
-    iter0 = resume_->iterations;
-    result.iterations = iter0;
-    result.conv_history = std::move(resume_->conv_history);
-    result.charge_patch_error = resume_->charge_patch_error;
-    mixer.restore_history(std::move(resume_->mix_v_s),
-                          std::move(resume_->mix_r_s));
-    resume_.reset();
-  } else {
-    // The initial guess is built slab-locally (G-space pencils through
-    // the distributed inverse FFT, pseudo/pseudopotential.h) — with it,
-    // no step of the sharded pipeline materializes the dense grid:
-    // from_dense appears only at the user-density and result boundaries
-    // of the public API, and shard_rank_footprint() probes the ~global/N
-    // contract.
-    build_initial_density_sharded(structure_, s.fft, s.comm, s.rho);
-    genpot_sharded(s.rho, v_in);
-  }
-
-  for (int iter = iter0; iter < opt_.max_iterations; ++iter) {
-    result.iterations = iter + 1;
-    update_precision_policy(result.conv_history);
-    refresh_live_lanes();
-    Timer iter_timer;
-    const std::map<std::string, double> prof0 = profile_.totals();
-    double l1 = 0;
-    {
-      TraceSpan iter_span("iter", TraceCat::kSolver,
-                          static_cast<std::uint64_t>(iter + 1));
-      {
-        ScopedPhase sp(profile_, "Gen_VF");
-        TraceSpan ts("Gen_VF", TraceCat::kPhase);
-        gen_vf_sharded(v_in);
-      }
-      {
-        ScopedPhase sp(profile_, "PEtot_F");
-        TraceSpan ts("PEtot_F", TraceCat::kPhase);
-        petot_f();
-      }
-      {
-        ScopedPhase sp(profile_, "Gen_dens");
-        TraceSpan ts("Gen_dens", TraceCat::kPhase);
-        gen_dens_sharded();
-        const double total = plane_sum(s.rho, s.comm) * point_vol;
-        result.charge_patch_error = std::abs(total - n_electrons);
-        if (total > 0) {
-          const double scale = n_electrons / total;
-          s.comm.each_rank([&](int r) { s.rho.slab(r) *= scale; });
-        }
-      }
-      {
-        ScopedPhase sp(profile_, "GENPOT");
-        TraceSpan ts("GENPOT", TraceCat::kPhase);
-        genpot_sharded(s.rho, v_out);
-      }
-      l1 = plane_l1(v_out, v_in, s.comm) * point_vol;
-      result.conv_history.push_back(l1);
-      // As in solve_dense: convergence only latches from an fp64
-      // iteration.
-      if (l1 < opt_.l1_tol && !use_fp32_iter_) {
-        result.converged = true;
-      } else {
-        TraceSpan ts("Mix", TraceCat::kPhase);
-        v_in = mixer.mix(v_in, v_out);
-      }
-      maybe_write_checkpoint(result, nullptr, nullptr, &mixer);
-    }
-    record_iteration(result, l1, iter_timer.seconds(), use_fp32_iter_,
-                     prof0);
-    if (result.converged) break;
-  }
-  result.v_eff =
-      spmd_ ? gather_dense(v_in, s.comm) : v_in.to_dense();
-  if (result.iterations > 0)
-    result.rho = spmd_ ? gather_dense(s.rho, s.comm) : s.rho.to_dense();
-
-  if (opt_.compute_energy) compute_patched_energy(result);
-  finalize_observability(result);
-  result.profile = profile_;
-  return result;
-}
-
-// The barrier-free driver (see the architecture block in ls3df.h): each
-// outer iteration is one TaskGraph of per-batch restrict -> solve ->
+// The solve driver (see the architecture block in ls3df.h): each outer
+// iteration is one TaskGraph of per-batch restrict -> solve ->
 // ordered-patch-commit chains, followed by the normalization, GENPOT and
 // mixing nodes. Determinism: per destination slab, patch commits form a
 // dependency chain in ascending fragment order, so every grid point
-// accumulates its signed contributions in exactly the phased path's
-// fragment order regardless of solve completion order — which is what
-// makes the overlapped solve bit-identical to solve_dense() /
-// solve_sharded() for any batch width, worker count, shard count and
+// accumulates its signed contributions in exactly the dense fragment
+// order regardless of solve completion order — which is what makes the
+// solve bit-identical for any batch width, worker count, shard count and
 // transport. The charge-normalization scalar is the one surviving
 // global sequence point: it needs every slab's plane partials, so the
 // GENPOT transpose pipeline starts only after the last patch commits
 // (the per-rank partial-sum nodes, armed per slab, are what overlaps the
 // solve tail across the GENPOT seam).
-Ls3dfResult Ls3dfSolver::solve_overlap() {
+Ls3dfResult Ls3dfSolver::solve_graph() {
   const Lattice& lat = structure_.lattice();
   const double point_vol =
       lat.volume() / static_cast<double>(vion_.size());
@@ -1850,7 +1544,7 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
   Ls3dfResult result;
   result.chain_times.assign(n_batches, {});
 
-  // Backend state, initialized exactly like the phased drivers.
+  // Backend state: dense fields and mixer, or the shard slabs.
   FieldR v_in_d, v_out_d, rho_d;
   std::unique_ptr<PotentialMixer> mixer_d;
   std::unique_ptr<ShardedPotentialMixer> mixer_s;
@@ -1903,7 +1597,7 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
     for (int f : batches_[b].members) batch_of[f] = b;
 
   // Destination slabs of the ordered commit chains: shard-owned slabs on
-  // the sharded path (rank >= 0), the phased Gen_dens split otherwise.
+  // the sharded path (rank >= 0), the Gen_dens hook's split otherwise.
   struct Slab {
     int x0, x1, rank;
   };
@@ -2185,7 +1879,9 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
             l1 = sh ? plane_l1(sh->v_out, sh->v_in, sh->comm) * point_vol
                     : plane_l1(v_out_d, v_in_d) * point_vol;
             result.conv_history.push_back(l1);
-            // fp32 iterations never latch convergence (solve_dense rule).
+            // Never latch convergence from an fp32 iteration: the
+            // residual must be confirmed by the fp64 solver (the policy
+            // switches to fp64 next iteration once l1 is this small).
             if (l1 < opt_.l1_tol && !use_fp32_iter_) {
               converged = true;
             } else if (sh) {
@@ -2234,8 +1930,9 @@ Ls3dfResult Ls3dfSolver::solve_overlap() {
 
     if (!sh) result.rho = std::move(rho_d);
     if (converged) result.converged = true;
-    // Same sequence point as the phased drivers: the mix node has
-    // already updated V_in (or convergence latched with it unmixed).
+    // The end-of-iteration sequence point: the mix node has already
+    // updated V_in (or convergence latched with it unmixed), and the
+    // mixer holds this iteration's DIIS update.
     maybe_write_checkpoint(result, &v_in_d, mixer_d.get(), mixer_s.get());
     if (opt_.trace)
       opt_.trace->emit("iter", TraceCat::kSolver, graph_epoch_us,

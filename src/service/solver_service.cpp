@@ -31,7 +31,8 @@ bool file_exists(const std::string& path) {
 // Exact warm-instance cache key: the structure plus every option baked
 // into construction or the solve loop. Rebindable per-job hooks (trace,
 // progress, lane_allowance, checkpoint) are deliberately absent — they
-// are what set_* re-points on reuse. hexfloat round-trips doubles
+// are what set_* re-points on reuse — and so is Ls3dfOptions::overlap,
+// which has no effect. hexfloat round-trips doubles
 // exactly, so equal keys mean equal configurations (no hash-collision
 // false positives: a stale match here would be a correctness bug, not a
 // cache miss).
@@ -55,8 +56,8 @@ std::string instance_key(const Structure& s, const Ls3dfOptions& o) {
     << o.mix_alpha << '|' << o.seed << '|' << o.n_workers << '|'
     << o.batch_width << '|' << o.n_shards << '|'
     << static_cast<int>(o.transport) << '|' << o.compute_energy << '|'
-    << o.overlap << '|' << o.donate << '|'
-    << static_cast<int>(o.precision) << '|' << o.promote_factor;
+    << o.donate << '|' << static_cast<int>(o.precision) << '|'
+    << o.promote_factor;
   return k.str();
 }
 

@@ -296,7 +296,6 @@ TEST(CheckpointResume, FingerprintCoversPhysicsNotExecutionKnobs) {
   Ls3dfOptions knobs = base;
   knobs.n_workers = 7;
   knobs.batch_width = 0;
-  knobs.overlap = false;
   knobs.donate = false;
   knobs.max_iterations = 99;
   knobs.checkpoint.path = tmp_path("fp.snap");

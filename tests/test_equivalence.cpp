@@ -1,10 +1,10 @@
-// Randomized cross-path equivalence suite: with four execution paths
-// live (dense/sharded x inproc/proc x batched/per-fragment) and the
-// barrier-free TaskGraph iteration on top, the bit-identity contract is
-// a combinatorial surface no hand-picked configuration list covers. A
-// seeded generator draws (division, batch_width, n_shards, transport,
-// workers, overlap, donate) tuples and asserts that a full solve()
-// reproduces the dense phased single-worker reference bit for bit —
+// Randomized cross-path equivalence suite: the one solve driver runs
+// over dense/sharded x inproc/proc layouts at any batch width, worker
+// count and donation setting, and the bit-identity contract across them
+// is a combinatorial surface no hand-picked configuration list covers.
+// A seeded generator draws (division, batch_width, n_shards, transport,
+// workers, donate) tuples and asserts that a full solve() reproduces the
+// reference — the same driver at its most serial shape — bit for bit:
 // density, effective potential, convergence history, charge-patch error
 // and total energy. The reference itself is pinned to the committed
 // golden digests (golden_digests.h). Deterministic: the suite seed is
@@ -37,11 +37,11 @@ constexpr std::uint64_t kSuiteSeed = 20260726;
 using golden::base_options;
 using golden::h2_chain;
 
-// The reference shape: the dense phased single-worker path (per-fragment
-// PEtot_F, fixed lanes). Its bits are frozen in golden_digests.h.
+// The reference shape: the driver at its most serial — one worker, dense
+// global fields, one fragment per batch, fixed lanes. Its bits are
+// frozen in golden_digests.h.
 Ls3dfOptions reference_shape(Ls3dfOptions lo) {
-  lo.overlap = false;
-  lo.batch_width = 0;
+  lo.batch_width = 1;
   lo.n_shards = 0;
   lo.n_workers = 1;
   lo.donate = false;
@@ -61,11 +61,10 @@ Ls3dfResult chain_reference(int ncells) {
 
 struct Draw {
   int ncells;       // division {ncells, 1, 1} on an ncells-cell chain
-  int batch_width;  // 0 = per-fragment phased dispatch
+  int batch_width;  // 0 = width 1
   int n_shards;     // 0 = dense grid
   TransportKind transport;
   int workers;
-  bool overlap;
   bool donate;  // live lane donation: must be bit-identical either way
 
   std::string describe(std::uint64_t seed, int index) const {
@@ -74,7 +73,6 @@ struct Draw {
        << " {division=" << ncells << "x1x1 batch_width=" << batch_width
        << " n_shards=" << n_shards << " transport="
        << transport_name(transport) << " workers=" << workers
-       << " overlap=" << (overlap ? "on" : "off")
        << " donate=" << (donate ? "on" : "off") << "}";
     return os.str();
   }
@@ -94,7 +92,6 @@ Draw random_draw(Rng& rng) {
                     : TransportKind::kInProc;
   const int workers[] = {1, 2, 4};
   d.workers = workers[rng.uniform_int(3)];
-  d.overlap = rng.uniform() < 0.6;
   d.donate = rng.uniform() < 0.5;
   return d;
 }
@@ -107,7 +104,7 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
   if (const char* env = std::getenv("LS3DF_EQUIV_DRAWS"))
     n_draws = std::atoi(env);
 
-  // One dense phased single-worker reference per division, built lazily.
+  // One reference-shape solve per division, built lazily.
   std::map<int, Ls3dfResult> refs;
   const auto reference = [&](int ncells) -> const Ls3dfResult& {
     auto it = refs.find(ncells);
@@ -118,17 +115,17 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
 
   Rng rng(seed);
   // The first draws are pinned to the corners a random sweep can miss:
-  // overlap on the dense and proc-sharded paths, the per-fragment phased
-  // dispatch, and donation on the widest-contended shapes (many groups,
-  // few workers: retirement actually widens the surviving lanes).
+  // the dense and proc-sharded layouts, batch_width 0 (width 1), and
+  // donation on the widest-contended shapes (many chains, few workers:
+  // retirement actually widens the surviving lanes).
   std::vector<Draw> draws = {
-      {3, 4, 0, TransportKind::kInProc, 1, true, true},
-      {3, 4, 0, TransportKind::kInProc, 4, true, true},
-      {3, 2, 3, TransportKind::kInProc, 2, true, true},
-      {3, 4, 2, TransportKind::kProc, 2, true, true},
-      {3, 0, 2, TransportKind::kInProc, 2, false, true},
-      {4, 1, 0, TransportKind::kInProc, 4, true, true},
-      {4, 1, 0, TransportKind::kInProc, 4, false, true},
+      {3, 4, 0, TransportKind::kInProc, 1, true},
+      {3, 4, 0, TransportKind::kInProc, 4, true},
+      {3, 2, 3, TransportKind::kInProc, 2, true},
+      {3, 4, 2, TransportKind::kProc, 2, true},
+      {3, 0, 2, TransportKind::kInProc, 2, true},
+      {4, 1, 0, TransportKind::kInProc, 4, true},
+      {4, 0, 0, TransportKind::kInProc, 4, true},
   };
   while (static_cast<int>(draws.size()) < n_draws)
     draws.push_back(random_draw(rng));
@@ -144,7 +141,6 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
     lo.n_shards = d.n_shards;
     lo.transport = d.transport;
     lo.n_workers = d.workers;
-    lo.overlap = d.overlap;
     lo.donate = d.donate;
     Ls3dfSolver solver(s, lo);
     Ls3dfResult r = solver.solve();
@@ -255,24 +251,15 @@ void expect_bitwise_equal(const Ls3dfResult& r, const Ls3dfResult& ref) {
 // The observability dimension: a trace recorder, the metrics registry
 // and the per-iteration progress callback are execution knobs — a solve
 // with all of them live must reproduce the untraced bits exactly, on
-// the dense phased path, the sharded path, the barrier-free overlapped
-// path and a thread-SPMD group.
+// the dense and sharded layouts and a thread-SPMD group.
 TEST(CrossPathEquivalence, TracingAndMetricsAreBitwiseInvisible) {
   const Structure s = h2_chain(3);
   const Ls3dfOptions base = base_options(3);
 
-  struct Config {
-    int n_shards;
-    bool overlap;
-    const char* label;
-  };
-  for (const Config& c : {Config{0, false, "dense"},
-                          Config{2, false, "sharded"},
-                          Config{2, true, "overlap"}}) {
-    SCOPED_TRACE(c.label);
+  for (int n_shards : {0, 2}) {
+    SCOPED_TRACE(n_shards == 0 ? "dense" : "sharded");
     Ls3dfOptions lo = base;
-    lo.n_shards = c.n_shards;
-    lo.overlap = c.overlap;
+    lo.n_shards = n_shards;
     lo.n_workers = 2;
     Ls3dfResult ref;
     {
@@ -320,7 +307,6 @@ TEST(CrossPathEquivalence, TracingAndMetricsAreBitwiseInvisible) {
       Ls3dfOptions o = base;
       o.n_shards = shards;
       o.n_workers = 1;
-      o.overlap = true;
       o.transport = TransportKind::kThreads;
       o.transport_factory = [&group, rk](int, int, std::size_t) {
         return std::move(group[rk]);
@@ -346,10 +332,10 @@ TEST(CrossPathEquivalence, TracingAndMetricsAreBitwiseInvisible) {
 // invisible.
 TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
   const std::vector<Draw> draws = {
-      {3, 4, 0, TransportKind::kInProc, 4, true, true},
-      {3, 0, 2, TransportKind::kInProc, 2, false, true},
-      {4, 1, 0, TransportKind::kInProc, 4, true, false},
-      {3, 4, 2, TransportKind::kProc, 2, true, true},
+      {3, 4, 0, TransportKind::kInProc, 4, true},
+      {3, 0, 2, TransportKind::kInProc, 2, true},
+      {4, 1, 0, TransportKind::kInProc, 4, false},
+      {3, 4, 2, TransportKind::kProc, 2, true},
   };
 
   std::map<int, Ls3dfResult> refs;
@@ -369,7 +355,6 @@ TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
     lo.n_shards = d.n_shards;
     lo.transport = d.transport;
     lo.n_workers = d.workers;
-    lo.overlap = d.overlap;
     lo.donate = d.donate;
     spec.options = lo;
     ids.push_back(service.submit(h2_chain(d.ncells), std::move(spec)));

@@ -72,6 +72,21 @@ TEST(Ls3df, RejectsDegenerateDivisionOfTwo) {
   EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument);
   lo.division = {1, 2, 1};
   EXPECT_THROW(Ls3dfSolver(s, lo), std::invalid_argument);
+  // Negative execution knobs are rejected, not mapped onto some path.
+  Structure chain = h2_chain(3);
+  lo = chain_options();
+  lo.batch_width = -1;
+  EXPECT_THROW(Ls3dfSolver(chain, lo), std::invalid_argument);
+  lo = chain_options();
+  lo.n_shards = -2;
+  EXPECT_THROW(Ls3dfSolver(chain, lo), std::invalid_argument);
+  // 0 stays valid for both: width 1 and dense global fields.
+  lo = chain_options();
+  lo.batch_width = 0;
+  lo.n_shards = 0;
+  Ls3dfSolver ok(chain, lo);
+  EXPECT_EQ(ok.batches().size(), static_cast<std::size_t>(ok.num_fragments()));
+  EXPECT_EQ(ok.active_shards(), 0);
 }
 
 TEST(Ls3df, SingleFragmentLimitIsExactlyDirectDft) {
@@ -305,7 +320,7 @@ TEST(Ls3df, ExecutorRunsExactlyTheLptAssignment) {
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.n_workers = 3;
-  lo.batch_width = 0;  // per-fragment dispatch path
+  lo.batch_width = 1;  // every fragment its own batch: LPT over fragments
   Ls3dfSolver solver(s, lo);
 
   FieldR v = solver.genpot(build_initial_density(s, solver.global_grid()));
@@ -367,10 +382,10 @@ TEST(Ls3df, BatchedExecutorRunsExactlyTheBatchAssignment) {
       EXPECT_EQ(analytic[f], analytic[b.members.front()]) << f;
 }
 
-TEST(Ls3df, BatchedBitIdenticalToPerFragmentAcrossWidthsAndWorkers) {
-  // The tentpole contract: the batched PEtot_F path produces the same
-  // patched density — bit for bit — as the per-fragment path, for any
-  // batch width and worker count.
+TEST(Ls3df, BatchedBitIdenticalToWidthOneAcrossWidthsAndWorkers) {
+  // The batching contract: lockstep batches produce the same patched
+  // density — bit for bit — as one fragment per batch, for any batch
+  // width and worker count.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 2;
@@ -378,7 +393,7 @@ TEST(Ls3df, BatchedBitIdenticalToPerFragmentAcrossWidthsAndWorkers) {
 
   std::vector<double> reference;
   {
-    lo.batch_width = 0;
+    lo.batch_width = 1;
     lo.n_workers = 1;
     Ls3dfSolver solver(s, lo);
     Ls3dfResult r = solver.solve();
@@ -698,30 +713,28 @@ TEST(Ls3df, ShardExchangeBuffersSteadyStateAllocatesNothing) {
   }
 }
 
-TEST(Ls3df, OverlapBitIdenticalToPhasedWithChainAttribution) {
-  // The tentpole contract: the barrier-free TaskGraph iteration (per-
-  // batch restrict -> solve -> ordered-patch-commit chains) reproduces
-  // the phased loop bit for bit, for any worker count — and reports the
-  // per-chain attribution the phased path cannot have.
+TEST(Ls3df, ChainDriverBitIdenticalAcrossWorkersWithChainAttribution) {
+  // The driver contract: the TaskGraph iteration (per-batch restrict ->
+  // solve -> ordered-patch-commit chains) reproduces its most serial
+  // shape (one worker, one fragment per batch, fixed lanes) bit for bit
+  // at any worker count — and reports per-chain attribution.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 3;
   lo.l1_tol = 0.0;  // fixed number of outer iterations
 
-  lo.overlap = false;
-  lo.n_workers = 1;
-  Ls3dfSolver phased(s, lo);
-  EXPECT_FALSE(phased.overlap_active());
-  Ls3dfResult ref = phased.solve();
-  EXPECT_TRUE(ref.chain_times.empty());
-  EXPECT_EQ(ref.overlap_fraction, 0.0);
-  EXPECT_EQ(ref.profile.count("Iter.wall"), 0);
+  Ls3dfResult ref;
+  {
+    Ls3dfOptions serial = lo;
+    serial.batch_width = 1;
+    serial.n_workers = 1;
+    serial.donate = false;
+    ref = Ls3dfSolver(s, serial).solve();
+  }
 
   for (int workers : {1, 2, 4}) {
-    lo.overlap = true;
     lo.n_workers = workers;
     Ls3dfSolver solver(s, lo);
-    EXPECT_TRUE(solver.overlap_active());
     Ls3dfResult r = solver.solve();
     ASSERT_EQ(r.iterations, ref.iterations);
     ASSERT_EQ(r.conv_history.size(), ref.conv_history.size());
@@ -750,43 +763,10 @@ TEST(Ls3df, OverlapBitIdenticalToPhasedWithChainAttribution) {
   }
 }
 
-TEST(Ls3df, OverlapShardedBitIdenticalToPhasedSharded) {
-  // The graph-extended GENPOT seam (per-rank partial sums + chained
-  // collectives) must not change a bit of the sharded pipeline, on
-  // either in-process transport.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = chain_options();
-  lo.max_iterations = 2;
-  lo.l1_tol = 0.0;
-  lo.n_shards = 3;
-  lo.n_workers = 2;
-
-  lo.overlap = false;
-  Ls3dfResult ref = Ls3dfSolver(s, lo).solve();
-  for (TransportKind kind : {TransportKind::kInProc, TransportKind::kProc}) {
-    lo.overlap = true;
-    lo.transport = kind;
-    Ls3dfSolver solver(s, lo);
-    EXPECT_TRUE(solver.overlap_active());
-    Ls3dfResult r = solver.solve();
-    ASSERT_EQ(r.conv_history.size(), ref.conv_history.size());
-    for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
-      ASSERT_EQ(r.conv_history[i], ref.conv_history[i]) << transport_name(kind);
-    for (std::size_t i = 0; i < ref.rho.size(); ++i)
-      ASSERT_EQ(r.rho[i], ref.rho[i]) << "point " << i << " "
-                                      << transport_name(kind);
-    ASSERT_EQ(r.energy.total, ref.energy.total);
-    // The transpose sub-phase survives the graph restructuring: one
-    // sample per genpot (initial + one per iteration).
-    EXPECT_EQ(r.profile.count("GENPOT.transpose"), r.iterations + 1);
-  }
-}
-
 TEST(Ls3df, ThreadSpmdSolveBitIdenticalToDense) {
   // The rank-local SPMD contract: N OS threads, each owning one rank of
   // a make_thread_spmd_group and holding only ~global/N of every sharded
-  // container, reproduce the dense path bit for bit — on the phased loop
-  // and on the barrier-free overlapped iteration.
+  // container, reproduce the dense single-worker solve bit for bit.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = chain_options();
   lo.max_iterations = 3;
@@ -798,64 +778,60 @@ TEST(Ls3df, ThreadSpmdSolveBitIdenticalToDense) {
     Ls3dfOptions d = lo;
     d.n_shards = 0;
     d.n_workers = 1;
-    d.overlap = false;
+    d.batch_width = 1;
+    d.donate = false;
     Ls3dfSolver solver(s, d);
     g = solver.global_grid();
     ref = solver.solve();
   }
-  for (bool overlap : {false, true}) {
-    for (int shards : {2, 4}) {
-      auto group = make_thread_spmd_group(shards);
-      std::vector<Ls3dfResult> res(shards);
-      std::vector<std::size_t> fp(shards, 0);
-      std::vector<std::thread> threads;
-      for (int r = 0; r < shards; ++r)
-        threads.emplace_back([&, r]() {
-          Ls3dfOptions o = lo;
-          o.overlap = overlap;
-          o.n_shards = shards;
-          o.n_workers = 1;
-          o.transport = TransportKind::kThreads;
-          o.transport_factory = [&group, r, shards](int n_ranks, int,
-                                                    std::size_t) {
-            EXPECT_EQ(n_ranks, shards);
-            return std::move(group[r]);
-          };
-          Ls3dfSolver solver(s, o);
-          res[r] = solver.solve();
-          fp[r] = solver.shard_rank_footprint(r);
-        });
-      for (auto& t : threads) t.join();
+  for (int shards : {2, 4}) {
+    auto group = make_thread_spmd_group(shards);
+    std::vector<Ls3dfResult> res(shards);
+    std::vector<std::size_t> fp(shards, 0);
+    std::vector<std::thread> threads;
+    for (int r = 0; r < shards; ++r)
+      threads.emplace_back([&, r]() {
+        Ls3dfOptions o = lo;
+        o.n_shards = shards;
+        o.n_workers = 1;
+        o.transport = TransportKind::kThreads;
+        o.transport_factory = [&group, r, shards](int n_ranks, int,
+                                                  std::size_t) {
+          EXPECT_EQ(n_ranks, shards);
+          return std::move(group[r]);
+        };
+        Ls3dfSolver solver(s, o);
+        res[r] = solver.solve();
+        fp[r] = solver.shard_rank_footprint(r);
+      });
+    for (auto& t : threads) t.join();
 
-      const std::size_t slab_ceil =
-          static_cast<std::size_t>((g.x + shards - 1) / shards) * g.y * g.z;
-      for (int r = 0; r < shards; ++r) {
-        SCOPED_TRACE(std::string("overlap=") + (overlap ? "on" : "off") +
-                     " shards=" + std::to_string(shards) + " rank=" +
-                     std::to_string(r));
-        ASSERT_EQ(res[r].iterations, ref.iterations);
-        ASSERT_EQ(res[r].conv_history.size(), ref.conv_history.size());
-        for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
-          ASSERT_EQ(res[r].conv_history[i], ref.conv_history[i])
-              << "L1 metric differs at iteration " << i;
-        ASSERT_EQ(res[r].charge_patch_error, ref.charge_patch_error);
-        ASSERT_EQ(res[r].rho.size(), ref.rho.size());
-        for (std::size_t i = 0; i < ref.rho.size(); ++i)
-          ASSERT_EQ(res[r].rho[i], ref.rho[i])
-              << "density differs at point " << i;
-        for (std::size_t i = 0; i < ref.v_eff.size(); ++i)
-          ASSERT_EQ(res[r].v_eff[i], ref.v_eff[i])
-              << "potential differs at point " << i;
-        ASSERT_EQ(res[r].energy.total, ref.energy.total);
-        // True rank-local residency: resident doubles stay
-        // slab-proportional — no thread ever held a dense-grid-sized
-        // sharded state. The overlapped iteration keeps the Gen_VF halo
-        // lanes and the Gen_dens window lanes posted concurrently, so
-        // its budget sits a few slab-equivalents above the phased
-        // path's 16.
-        EXPECT_GT(fp[r], 0u);
-        EXPECT_LE(fp[r], 20 * slab_ceil);
-      }
+    const std::size_t slab_ceil =
+        static_cast<std::size_t>((g.x + shards - 1) / shards) * g.y * g.z;
+    for (int r = 0; r < shards; ++r) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " rank=" +
+                   std::to_string(r));
+      ASSERT_EQ(res[r].iterations, ref.iterations);
+      ASSERT_EQ(res[r].conv_history.size(), ref.conv_history.size());
+      for (std::size_t i = 0; i < ref.conv_history.size(); ++i)
+        ASSERT_EQ(res[r].conv_history[i], ref.conv_history[i])
+            << "L1 metric differs at iteration " << i;
+      ASSERT_EQ(res[r].charge_patch_error, ref.charge_patch_error);
+      ASSERT_EQ(res[r].rho.size(), ref.rho.size());
+      for (std::size_t i = 0; i < ref.rho.size(); ++i)
+        ASSERT_EQ(res[r].rho[i], ref.rho[i])
+            << "density differs at point " << i;
+      for (std::size_t i = 0; i < ref.v_eff.size(); ++i)
+        ASSERT_EQ(res[r].v_eff[i], ref.v_eff[i])
+            << "potential differs at point " << i;
+      ASSERT_EQ(res[r].energy.total, ref.energy.total);
+      // True rank-local residency: resident doubles stay
+      // slab-proportional — no thread ever held a dense-grid-sized
+      // sharded state. The driver keeps the Gen_VF halo lanes and the
+      // Gen_dens window lanes posted concurrently, hence 20
+      // slab-equivalents.
+      EXPECT_GT(fp[r], 0u);
+      EXPECT_LE(fp[r], 20 * slab_ceil);
     }
   }
 }
@@ -877,7 +853,6 @@ TEST(Ls3df, ThreadSpmdCheckpointBytesMatchDenseAndResumeContinues) {
   lo.max_iterations = 2;
   lo.l1_tol = 0.0;
   lo.n_shards = 2;
-  lo.overlap = false;
 
   // Dense-per-process reference run, checkpointing every iteration.
   Ls3dfOptions dl = lo;
@@ -975,8 +950,8 @@ TEST(Ls3df, ThreadSpmdCheckpointBytesMatchDenseAndResumeContinues) {
 }
 
 TEST(Ls3df, OverlapProfileAttributionSumsToIterationWall) {
-  // Satellite contract: under overlap the phase keys hold attributed
-  // per-node busy time. On one worker lane nothing runs concurrently, so
+  // Satellite contract: the phase keys hold attributed per-node busy
+  // time. On one worker lane nothing runs concurrently, so
   // the attributed keys must sum to the measured iteration wall within
   // 1% — and the phase windows still interleave (the depth-first chain
   // schedule), giving a positive measured overlap fraction.

@@ -65,8 +65,8 @@ void expect_bitwise_equal(const Ls3dfResult& r, const Ls3dfResult& ref) {
 }
 
 // The four heterogeneous configurations the service tests multiplex:
-// dense batched, sharded overlapped with donation, per-fragment phased
-// with a different eigensolver budget, and proc-transport sharded.
+// dense batched, sharded with donation, dense single-worker with a
+// different eigensolver budget, and proc-transport sharded.
 std::vector<std::pair<Structure, Ls3dfOptions>> job_mix() {
   std::vector<std::pair<Structure, Ls3dfOptions>> jobs;
   {
@@ -79,7 +79,6 @@ std::vector<std::pair<Structure, Ls3dfOptions>> job_mix() {
     Ls3dfOptions lo = base_options(4);
     lo.n_workers = 2;
     lo.n_shards = 2;
-    lo.overlap = true;
     lo.donate = true;
     jobs.emplace_back(h2_chain(4), lo);
   }
@@ -112,7 +111,6 @@ TEST(Service, TwoSolversOnTwoThreadsMatchSequentialBitwise) {
   Ls3dfOptions ob = base_options(4);
   ob.n_workers = 2;
   ob.n_shards = 2;
-  ob.overlap = true;
   ob.donate = true;
 
   const Ls3dfResult ref_a = Ls3dfSolver(sa, oa).solve();
@@ -382,6 +380,38 @@ TEST(Service, WarmInstanceReuseWithoutSnapshotsIsStillBitwise) {
   ASSERT_EQ(st.state, JobState::kDone) << st.error;
   EXPECT_TRUE(st.warm_instance);
   EXPECT_FALSE(st.warm_started);  // nothing snapshotted to resume
+  EXPECT_EQ(service.warm_instance_hits(), 1);
+  expect_bitwise_equal(service.result(first), ref);
+  expect_bitwise_equal(service.result(second), ref);
+}
+
+TEST(Service, JobsDifferingOnlyInOverlapShareAWarmInstance) {
+  // Ls3dfOptions::overlap has no effect (every solve runs the TaskGraph
+  // driver), so it is not part of the warm-pool key: a job that differs
+  // from a finished one only in that field adopts the parked instance,
+  // and both land on the standalone bits.
+  Structure s = h2_chain(3);
+  Ls3dfOptions lo = base_options(3);
+  lo.n_workers = 2;
+  lo.batch_width = 2;
+  const Ls3dfResult ref = Ls3dfSolver(s, lo).solve();
+
+  SolverServiceOptions so;
+  so.total_lanes = 2;
+  so.max_concurrent = 1;
+  SolverService service(so);
+
+  JobSpec on, off;
+  on.options = lo;
+  on.options.overlap = true;
+  off.options = lo;
+  off.options.overlap = false;
+  const SolverService::JobId first = service.submit(s, on);
+  ASSERT_EQ(service.wait(first).state, JobState::kDone);
+  const SolverService::JobId second = service.submit(s, off);
+  const JobStatus st = service.wait(second);
+  ASSERT_EQ(st.state, JobState::kDone) << st.error;
+  EXPECT_TRUE(st.warm_instance);
   EXPECT_EQ(service.warm_instance_hits(), 1);
   expect_bitwise_equal(service.result(first), ref);
   expect_bitwise_equal(service.result(second), ref);
