@@ -191,7 +191,9 @@ struct Ls3dfOptions {
   // schedulable unit: one fused Hamiltonian application / GEMM sweep
   // serves all members (bit-identical to per-fragment solves). 0 means
   // width 1 (every fragment its own batch); negative values are rejected
-  // with std::invalid_argument.
+  // with std::invalid_argument. At every width each owned fragment keeps
+  // its own persistent workspace arena (held by its batch), so workspace
+  // memory grows with the number of owned fragments, not with n_workers.
   int batch_width = 4;
   // x-slab shards for the global grid (density, potentials, mixing,
   // GENPOT FFT). 0 = dense global fields (full grid on one node); > 0 is

@@ -32,7 +32,8 @@ bool file_exists(const std::string& path) {
 // into construction or the solve loop. Rebindable per-job hooks (trace,
 // progress, lane_allowance, checkpoint) are deliberately absent — they
 // are what set_* re-points on reuse — and so is Ls3dfOptions::overlap,
-// which has no effect. hexfloat round-trips doubles
+// which has no effect. batch_width is keyed as the width it selects (0
+// and 1 both mean width 1). hexfloat round-trips doubles
 // exactly, so equal keys mean equal configurations (no hash-collision
 // false positives: a stale match here would be a correctness bug, not a
 // cache miss).
@@ -54,7 +55,7 @@ std::string instance_key(const Structure& s, const Ls3dfOptions& o) {
     << o.eig.precondition << '|' << o.all_band << '|' << o.max_iterations
     << '|' << o.l1_tol << '|' << static_cast<int>(o.mixer) << '|'
     << o.mix_alpha << '|' << o.seed << '|' << o.n_workers << '|'
-    << o.batch_width << '|' << o.n_shards << '|'
+    << std::max(1, o.batch_width) << '|' << o.n_shards << '|'
     << static_cast<int>(o.transport) << '|' << o.compute_energy << '|'
     << o.donate << '|' << static_cast<int>(o.precision) << '|'
     << o.promote_factor;

@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "checkpoint/snapshot.h"
 #include "fragment/ls3df.h"
@@ -103,27 +102,9 @@ inline std::uint64_t result_digest(const Ls3dfResult& r) {
   return fp.value();
 }
 
-struct Corner {
-  const char* name;
-  Structure structure;
-  Ls3dfOptions options;
-  std::uint64_t digest;
-};
-
 constexpr std::uint64_t kChain3 = 0xc50b8a413a88d87dull;
 constexpr std::uint64_t kChain4 = 0xfbcca5dd354aa55full;
 constexpr std::uint64_t kZChain4 = 0x58120bc6a5291814ull;
-
-// The golden digest of an x-chain reference (3 or 4 cells).
-inline std::uint64_t chain_digest(int ncells) {
-  return ncells == 3 ? kChain3 : kChain4;
-}
-
-inline std::vector<Corner> corners() {
-  return {{"chain3", h2_chain(3), base_options(3), kChain3},
-          {"chain4", h2_chain(4), base_options(4), kChain4},
-          {"zchain4", z_chain(), z_chain_options(), kZChain4}};
-}
 
 }  // namespace golden
 }  // namespace ls3df

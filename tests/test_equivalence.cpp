@@ -48,15 +48,18 @@ Ls3dfOptions reference_shape(Ls3dfOptions lo) {
   return lo;
 }
 
-// One reference solve per x-chain division, checked against its golden
-// digest before any draw is compared to it.
-Ls3dfResult chain_reference(int ncells) {
-  Ls3dfResult ref =
-      Ls3dfSolver(h2_chain(ncells), reference_shape(base_options(ncells)))
-          .solve();
-  EXPECT_EQ(golden::result_digest(ref), golden::chain_digest(ncells))
-      << "the " << ncells << "-cell reference moved off its golden digest";
-  return ref;
+// The reference solve of an x-chain division, solved once per process
+// and shared by every test. ReferenceSolvesMatchGoldenDigests pins it to
+// its golden digest.
+const Ls3dfResult& chain_reference(int ncells) {
+  static std::map<int, Ls3dfResult> refs;
+  auto it = refs.find(ncells);
+  if (it == refs.end())
+    it = refs.emplace(ncells, Ls3dfSolver(h2_chain(ncells),
+                                          reference_shape(base_options(ncells)))
+                                  .solve())
+             .first;
+  return it->second;
 }
 
 struct Draw {
@@ -104,15 +107,6 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
   if (const char* env = std::getenv("LS3DF_EQUIV_DRAWS"))
     n_draws = std::atoi(env);
 
-  // One reference-shape solve per division, built lazily.
-  std::map<int, Ls3dfResult> refs;
-  const auto reference = [&](int ncells) -> const Ls3dfResult& {
-    auto it = refs.find(ncells);
-    if (it == refs.end())
-      it = refs.emplace(ncells, chain_reference(ncells)).first;
-    return it->second;
-  };
-
   Rng rng(seed);
   // The first draws are pinned to the corners a random sweep can miss:
   // the dense and proc-sharded layouts, batch_width 0 (width 1), and
@@ -133,7 +127,7 @@ TEST(CrossPathEquivalence, RandomizedDrawsMatchDenseReferenceBitwise) {
   for (int i = 0; i < static_cast<int>(draws.size()); ++i) {
     const Draw& d = draws[i];
     SCOPED_TRACE(d.describe(seed, i));
-    const Ls3dfResult& ref = reference(d.ncells);
+    const Ls3dfResult& ref = chain_reference(d.ncells);
 
     Structure s = h2_chain(d.ncells);
     Ls3dfOptions lo = base_options(d.ncells);
@@ -338,11 +332,6 @@ TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
       {3, 4, 2, TransportKind::kProc, 2, true},
   };
 
-  std::map<int, Ls3dfResult> refs;
-  for (const Draw& d : draws)
-    if (!refs.count(d.ncells))
-      refs.emplace(d.ncells, chain_reference(d.ncells));
-
   SolverServiceOptions so;
   so.total_lanes = 4;
   so.max_concurrent = static_cast<int>(draws.size());
@@ -365,7 +354,8 @@ TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
     SCOPED_TRACE(draws[i].describe(0, static_cast<int>(i)));
     const JobStatus st = service.status(ids[i]);
     ASSERT_EQ(st.state, JobState::kDone) << st.error;
-    expect_bitwise_equal(service.result(ids[i]), refs.at(draws[i].ncells));
+    expect_bitwise_equal(service.result(ids[i]),
+                         chain_reference(draws[i].ncells));
   }
 }
 
@@ -374,13 +364,18 @@ TEST(CrossPathEquivalence, ServiceJobsMatchDenseReferenceBitwise) {
 // shapes to an in-run reference; this pins that reference to bits that
 // no code path has to be kept alive to reproduce.
 TEST(CrossPathEquivalence, ReferenceSolvesMatchGoldenDigests) {
-  for (const golden::Corner& c : golden::corners()) {
-    SCOPED_TRACE(c.name);
-    const Ls3dfResult r =
-        Ls3dfSolver(c.structure, reference_shape(c.options)).solve();
-    EXPECT_EQ(golden::result_digest(r), c.digest)
-        << std::hex << "got 0x" << golden::result_digest(r);
-  }
+  const auto expect_digest = [](const char* corner, const Ls3dfResult& r,
+                                std::uint64_t digest) {
+    EXPECT_EQ(golden::result_digest(r), digest)
+        << corner << std::hex << ": got 0x" << golden::result_digest(r);
+  };
+  expect_digest("chain3", chain_reference(3), golden::kChain3);
+  expect_digest("chain4", chain_reference(4), golden::kChain4);
+  expect_digest("zchain4",
+                Ls3dfSolver(golden::z_chain(),
+                            reference_shape(golden::z_chain_options()))
+                    .solve(),
+                golden::kZChain4);
 }
 
 }  // namespace

@@ -417,6 +417,35 @@ TEST(Service, JobsDifferingOnlyInOverlapShareAWarmInstance) {
   expect_bitwise_equal(service.result(second), ref);
 }
 
+TEST(Service, BatchWidthZeroAndOneShareAWarmInstance) {
+  // batch_width 0 means width 1, so the two spellings select the same
+  // configuration and key the same warm instance.
+  Structure s = h2_chain(3);
+  Ls3dfOptions lo = base_options(3);
+  lo.n_workers = 2;
+  lo.batch_width = 1;
+  const Ls3dfResult ref = Ls3dfSolver(s, lo).solve();
+
+  SolverServiceOptions so;
+  so.total_lanes = 2;
+  so.max_concurrent = 1;
+  SolverService service(so);
+
+  JobSpec zero, one;
+  zero.options = lo;
+  zero.options.batch_width = 0;
+  one.options = lo;
+  const SolverService::JobId first = service.submit(s, zero);
+  ASSERT_EQ(service.wait(first).state, JobState::kDone);
+  const SolverService::JobId second = service.submit(s, one);
+  const JobStatus st = service.wait(second);
+  ASSERT_EQ(st.state, JobState::kDone) << st.error;
+  EXPECT_TRUE(st.warm_instance);
+  EXPECT_EQ(service.warm_instance_hits(), 1);
+  expect_bitwise_equal(service.result(first), ref);
+  expect_bitwise_equal(service.result(second), ref);
+}
+
 TEST(Service, ColdRetryWithoutCheckpointsIsStillBitwise) {
   // A first attempt that fails mid-solve leaves warm wavefunctions in
   // the instance; with no snapshot to resume, the retry cold-solves the
