@@ -16,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "atoms/builders.h"
@@ -385,11 +386,12 @@ TEST(Service, WarmInstanceReuseWithoutSnapshotsIsStillBitwise) {
   expect_bitwise_equal(service.result(second), ref);
 }
 
-TEST(Service, JobsDifferingOnlyInOverlapShareAWarmInstance) {
+TEST(Service, JobsDifferingOnlyInNoEffectSpellingsShareAWarmInstance) {
   // Ls3dfOptions::overlap has no effect (every solve runs the TaskGraph
-  // driver), so it is not part of the warm-pool key: a job that differs
-  // from a finished one only in that field adopts the parked instance,
-  // and both land on the standalone bits.
+  // driver) and batch_width 0 selects width 1, so the warm-pool key
+  // ignores the one and keys the other as the width it selects: a job
+  // that differs from a finished one only in such a spelling adopts the
+  // parked instance, and both land on the standalone bits.
   Structure s = h2_chain(3);
   Ls3dfOptions lo = base_options(3);
   lo.n_workers = 2;
@@ -399,51 +401,28 @@ TEST(Service, JobsDifferingOnlyInOverlapShareAWarmInstance) {
   SolverServiceOptions so;
   so.total_lanes = 2;
   so.max_concurrent = 1;
-  SolverService service(so);
 
-  JobSpec on, off;
-  on.options = lo;
-  on.options.overlap = true;
-  off.options = lo;
-  off.options.overlap = false;
-  const SolverService::JobId first = service.submit(s, on);
-  ASSERT_EQ(service.wait(first).state, JobState::kDone);
-  const SolverService::JobId second = service.submit(s, off);
-  const JobStatus st = service.wait(second);
-  ASSERT_EQ(st.state, JobState::kDone) << st.error;
-  EXPECT_TRUE(st.warm_instance);
-  EXPECT_EQ(service.warm_instance_hits(), 1);
-  expect_bitwise_equal(service.result(first), ref);
-  expect_bitwise_equal(service.result(second), ref);
-}
-
-TEST(Service, BatchWidthZeroAndOneShareAWarmInstance) {
-  // batch_width 0 means width 1, so the two spellings select the same
-  // configuration and key the same warm instance.
-  Structure s = h2_chain(3);
-  Ls3dfOptions lo = base_options(3);
-  lo.n_workers = 2;
-  lo.batch_width = 1;
-  const Ls3dfResult ref = Ls3dfSolver(s, lo).solve();
-
-  SolverServiceOptions so;
-  so.total_lanes = 2;
-  so.max_concurrent = 1;
-  SolverService service(so);
-
-  JobSpec zero, one;
-  zero.options = lo;
-  zero.options.batch_width = 0;
-  one.options = lo;
-  const SolverService::JobId first = service.submit(s, zero);
-  ASSERT_EQ(service.wait(first).state, JobState::kDone);
-  const SolverService::JobId second = service.submit(s, one);
-  const JobStatus st = service.wait(second);
-  ASSERT_EQ(st.state, JobState::kDone) << st.error;
-  EXPECT_TRUE(st.warm_instance);
-  EXPECT_EQ(service.warm_instance_hits(), 1);
-  expect_bitwise_equal(service.result(first), ref);
-  expect_bitwise_equal(service.result(second), ref);
+  JobSpec overlap_on, overlap_off, width0, width1;
+  overlap_on.options = overlap_off.options = width0.options =
+      width1.options = lo;
+  overlap_on.options.overlap = true;
+  overlap_off.options.overlap = false;
+  width0.options.batch_width = 0;
+  width1.options.batch_width = 1;
+  const std::pair<JobSpec, JobSpec> pairs[] = {{overlap_on, overlap_off},
+                                               {width0, width1}};
+  for (const auto& [a, b] : pairs) {
+    SolverService service(so);
+    const SolverService::JobId first = service.submit(s, a);
+    ASSERT_EQ(service.wait(first).state, JobState::kDone);
+    const SolverService::JobId second = service.submit(s, b);
+    const JobStatus st = service.wait(second);
+    ASSERT_EQ(st.state, JobState::kDone) << st.error;
+    EXPECT_TRUE(st.warm_instance);
+    EXPECT_EQ(service.warm_instance_hits(), 1);
+    expect_bitwise_equal(service.result(first), ref);
+    expect_bitwise_equal(service.result(second), ref);
+  }
 }
 
 TEST(Service, ColdRetryWithoutCheckpointsIsStillBitwise) {
